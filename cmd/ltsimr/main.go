@@ -62,7 +62,6 @@ func main() {
 		loadFactor   = flag.Float64("load-factor", 1.25, "bounded-load ceiling: a worker is skipped while its in-flight load exceeds this multiple of the mean")
 		probe        = flag.Duration("probe", 2*time.Second, "health-probe interval (ejection and re-admission cadence)")
 		probeTimeout = flag.Duration("probe-timeout", time.Second, "per-probe timeout")
-		sweepPar     = flag.Int("sweep-parallel", 0, "concurrent sweep points dispatched cluster-wide (0 = 8 per worker)")
 		logLevel     = flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")
 	)
 	flag.Var(&workers, "worker", "ltsimd base URL (repeatable, or comma-separated)")
@@ -80,12 +79,11 @@ func main() {
 	logger := slog.New(slog.NewJSONHandler(os.Stderr, &slog.HandlerOptions{Level: level}))
 
 	cfg := router.Config{
-		VNodes:           *vnodes,
-		LoadFactor:       *loadFactor,
-		ProbeInterval:    *probe,
-		ProbeTimeout:     *probeTimeout,
-		SweepConcurrency: *sweepPar,
-		Logger:           logger,
+		VNodes:        *vnodes,
+		LoadFactor:    *loadFactor,
+		ProbeInterval: *probe,
+		ProbeTimeout:  *probeTimeout,
+		Logger:        logger,
 	}
 	for _, url := range workers {
 		cfg.Workers = append(cfg.Workers, router.Worker{URL: url})

@@ -3,6 +3,9 @@
 // across N workers, coalesces duplicate in-flight keys cluster-wide,
 // and survives worker death by ejecting the node from the ring and
 // retrying on the successor until the health probe re-admits it.
+// Its /sweep is the daemon's own sweep engine (service.Sweep) over a
+// ring backend: each unique point dispatches as one /estimate to the
+// worker that owns it.
 //
 // Routing by fingerprint is what makes the cluster's cache warmth add
 // up instead of dilute: every repeat of a configuration lands on the

@@ -9,13 +9,11 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"repro/internal/scenario"
 	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -34,12 +32,9 @@ type Config struct {
 	// bounds one probe; 0 means 1s.
 	ProbeInterval time.Duration
 	ProbeTimeout  time.Duration
-	// SweepConcurrency bounds concurrently dispatched sweep points; 0
-	// means 8 per worker.
-	SweepConcurrency int
 	// Client performs upstream requests; nil uses a default with no
-	// overall timeout (sweep responses stream for as long as the
-	// simulations take; per-probe timeouts are separate).
+	// overall timeout (an estimate or its progress stream lasts as long
+	// as the simulation takes; per-probe timeouts are separate).
 	Client *http.Client
 	// Logger receives lifecycle events (ejections, re-admissions); nil
 	// discards. Metrics is the registry GET /metrics exposes; nil
@@ -67,9 +62,6 @@ func (c Config) withDefaults() Config {
 	if c.ProbeTimeout <= 0 {
 		c.ProbeTimeout = time.Second
 	}
-	if c.SweepConcurrency <= 0 {
-		c.SweepConcurrency = 8 * len(c.Workers)
-	}
 	if c.Client == nil {
 		c.Client = &http.Client{}
 	}
@@ -93,12 +85,11 @@ type flight struct {
 // upstream is one worker response, buffered for replay to coalesced
 // waiters.
 type upstream struct {
-	node    string
-	status  int
-	cache   string // the worker's X-Ltsimd-Cache disposition
-	key     string // the worker's X-Ltsimd-Key (its cache key, policy folded in)
-	body    []byte
-	retried int
+	node   string
+	status int
+	cache  string // the worker's X-Ltsimd-Cache disposition
+	key    string // the worker's X-Ltsimd-Key (its cache key, policy folded in)
+	body   []byte
 }
 
 // Router is the stateless cluster front. Create with New, serve
@@ -196,7 +187,8 @@ func New(cfg Config) (*Router, error) {
 	}
 
 	r.mux.HandleFunc("POST /estimate", r.handleEstimate)
-	r.mux.HandleFunc("POST /sweep", r.handleSweep)
+	// Up to 8 sweep points in flight per worker.
+	r.mux.Handle("POST /sweep", &service.Sweep{Resolve: r.sweepPoint, Width: 8 * len(cfg.Workers)})
 	r.mux.HandleFunc("GET /healthz", r.handleHealthz)
 	r.mux.HandleFunc("GET /stats", r.handleStats)
 	r.mux.Handle("GET /metrics", reg.Handler())
@@ -287,17 +279,22 @@ func routingKey(req service.EstimateRequest) (string, error) {
 	return sim.Fingerprint(cfg, opt)
 }
 
-// dispatch sends body to the worker owning key, retrying on the ring
-// successor when a worker dies mid-request (transport error ⇒ immediate
-// ejection; the prober re-admits it when it recovers). HTTP error
-// statuses are the worker *answering* — backpressure 503s and 4xxs pass
-// through untouched for the client's own retry policy.
-func (r *Router) dispatch(ctx context.Context, key string, body []byte) (*upstream, error) {
+// forward is the routing loop behind every proxied estimate: pick the
+// worker owning key (skipping workers that already failed this
+// request), POST body to its /estimate, and hand the response to
+// consume while the worker is held. A transport failure, or consume
+// reporting that the body died mid-read, ejects the worker (the prober
+// re-admits it when it recovers) and retries on the ring successor; the
+// successor recomputes (or disk-replays) deterministically, so the
+// retried answer is the same bytes. HTTP error statuses are the worker
+// *answering* — backpressure 503s and 4xxs reach consume untouched, for
+// the client's own retry policy.
+func (r *Router) forward(ctx context.Context, key string, body []byte, consume func(*Node, *http.Response) error) error {
 	var exclude []string
 	for {
 		node, err := r.ring.Pick(key, exclude...)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		node.acquire()
 		r.routedTotal.Add(1)
@@ -305,54 +302,50 @@ func (r *Router) dispatch(ctx context.Context, key string, body []byte) (*upstre
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, node.URL+"/estimate", bytes.NewReader(body))
 		if err != nil {
 			node.release()
-			return nil, err
+			return err
 		}
 		req.Header.Set("Content-Type", "application/json")
 		resp, err := r.client.Do(req)
-		if err != nil {
-			node.release()
-			if ctx.Err() != nil {
-				return nil, ctx.Err()
-			}
-			// The worker died under us: eject it and retry the request on
-			// the ring successor.
-			if node.setHealthy(false) {
-				r.ejections.Add(1)
-				r.metrics.ejections.Inc()
-				r.logger.Warn("worker ejected on request failure", "node", node.Name, "err", err.Error())
-			}
-			exclude = append(exclude, node.Name)
-			r.retries.Add(1)
-			r.metrics.retries.Inc()
-			continue
+		if err == nil {
+			err = consume(node, resp)
+			resp.Body.Close()
 		}
-		payload, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
 		node.release()
-		if err != nil {
-			// Died mid-body: same ejection + successor retry. The
-			// successor recomputes (or disk-replays) deterministically, so
-			// the retried answer is the same bytes the dead worker would
-			// have sent.
-			if node.setHealthy(false) {
-				r.ejections.Add(1)
-				r.metrics.ejections.Inc()
-				r.logger.Warn("worker ejected mid-response", "node", node.Name, "err", err.Error())
-			}
-			exclude = append(exclude, node.Name)
-			r.retries.Add(1)
-			r.metrics.retries.Inc()
-			continue
+		if err == nil {
+			return nil
 		}
-		return &upstream{
-			node:    node.Name,
-			status:  resp.StatusCode,
-			cache:   resp.Header.Get("X-Ltsimd-Cache"),
-			key:     resp.Header.Get("X-Ltsimd-Key"),
-			body:    payload,
-			retried: len(exclude),
-		}, nil
+		if ctx.Err() != nil {
+			return ctx.Err()
+		}
+		if node.setHealthy(false) {
+			r.ejections.Add(1)
+			r.metrics.ejections.Inc()
+			r.logger.Warn("worker ejected on request failure", "node", node.Name, "err", err.Error())
+		}
+		exclude = append(exclude, node.Name)
+		r.retries.Add(1)
+		r.metrics.retries.Inc()
 	}
+}
+
+// dispatch sends body to the worker owning key and buffers its answer.
+func (r *Router) dispatch(ctx context.Context, key string, body []byte) (*upstream, error) {
+	var res *upstream
+	err := r.forward(ctx, key, body, func(node *Node, resp *http.Response) error {
+		payload, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return err
+		}
+		res = &upstream{
+			node:   node.Name,
+			status: resp.StatusCode,
+			cache:  resp.Header.Get("X-Ltsimd-Cache"),
+			key:    resp.Header.Get("X-Ltsimd-Key"),
+			body:   payload,
+		}
+		return nil
+	})
+	return res, err
 }
 
 // estimateOnce runs one non-progress estimate through the cluster-wide
@@ -450,37 +443,7 @@ func upstreamStatus(err error) int {
 // retries on the successor; after frames have flowed the stream just
 // ends (the client re-requests and hits the successor's cache).
 func (r *Router) proxyStream(w http.ResponseWriter, ctx context.Context, key string, body []byte) {
-	var exclude []string
-	for {
-		node, err := r.ring.Pick(key, exclude...)
-		if err != nil {
-			writeError(w, http.StatusServiceUnavailable, err)
-			return
-		}
-		node.acquire()
-		r.metrics.requests.With(node.Name).Inc()
-		req, err := http.NewRequestWithContext(ctx, http.MethodPost, node.URL+"/estimate", bytes.NewReader(body))
-		if err != nil {
-			node.release()
-			writeError(w, http.StatusInternalServerError, err)
-			return
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := r.client.Do(req)
-		if err != nil {
-			node.release()
-			if ctx.Err() != nil {
-				return
-			}
-			if node.setHealthy(false) {
-				r.ejections.Add(1)
-				r.metrics.ejections.Inc()
-			}
-			exclude = append(exclude, node.Name)
-			r.retries.Add(1)
-			r.metrics.retries.Inc()
-			continue
-		}
+	err := r.forward(ctx, key, body, func(node *Node, resp *http.Response) error {
 		h := w.Header()
 		for _, name := range []string{"Content-Type", "X-Ltsimd-Key", "X-Ltsimd-Cache"} {
 			if v := resp.Header.Get(name); v != "" {
@@ -500,164 +463,39 @@ func (r *Router) proxyStream(w http.ResponseWriter, ctx context.Context, key str
 				}
 			}
 			if err != nil {
-				break
+				return nil
 			}
 		}
-		resp.Body.Close()
-		node.release()
-		return
+	})
+	if err != nil && ctx.Err() == nil {
+		writeError(w, upstreamStatus(err), err)
 	}
 }
 
-// handleSweep fans a batch across the cluster: scenario documents are
-// expanded exactly once here at the router, every request is
-// fingerprinted, identical fingerprints dedupe batch-wide, and each
-// unique key dispatches to the worker that owns it (joining any
-// already-in-flight duplicate cluster-wide). Lines stream back in
-// completion order with per-point node attribution; the summary
-// aggregates worker cache outcomes (memory and disk tiers).
-func (r *Router) handleSweep(w http.ResponseWriter, req *http.Request) {
-	var sreq service.SweepRequest
-	dec := json.NewDecoder(req.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&sreq); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
+// sweepPoint is the router's sweep backend for the shared sweep engine
+// (service.Sweep): a point dispatches by routing key to the worker that
+// owns it, joining any in-flight duplicate cluster-wide. OK lines carry
+// the worker's X-Ltsimd-Key and node; a worker answer other than 200
+// becomes an error line carrying the routing key.
+func (r *Router) sweepPoint(req service.EstimateRequest) (string, service.SweepAnswer, error) {
+	key, err := routingKey(req)
+	if err != nil {
+		return "", nil, err
 	}
-	if sreq.Scenario != nil {
-		if len(sreq.Requests) > 0 {
-			writeError(w, http.StatusBadRequest, errors.New("sweep takes requests or a scenario, not both"))
-			return
+	body, err := json.Marshal(req)
+	if err != nil {
+		return "", nil, err
+	}
+	return key, func(ctx context.Context) ([]byte, string, string, string, error) {
+		res, _, err := r.estimateOnce(ctx, key, body)
+		if err == nil && res.status != http.StatusOK {
+			err = fmt.Errorf("worker %s returned %d: %s", res.node, res.status, strings.TrimSpace(string(res.body)))
 		}
-		points, err := scenario.Expand(*sreq.Scenario)
 		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
+			return nil, key, "", "", err
 		}
-		sreq.Requests = make([]service.EstimateRequest, len(points))
-		for i, pt := range points {
-			sreq.Requests[i] = pt.Request
-		}
-	}
-	if len(sreq.Requests) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("sweep needs at least one request"))
-		return
-	}
-	if len(sreq.Requests) > scenario.MaxPoints {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("sweep of %d requests exceeds the %d limit", len(sreq.Requests), scenario.MaxPoints))
-		return
-	}
-	start := time.Now()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	emit := func(line service.SweepLine) {
-		enc.Encode(line)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	summary := service.SweepLine{Summary: true, Requested: len(sreq.Requests)}
-
-	// Fingerprint across cores (the same CPU-bound resolve the worker
-	// sweep path parallelizes), then group serially.
-	type resolution struct {
-		key  string
-		body []byte
-		err  error
-	}
-	resolutions := make([]resolution, len(sreq.Requests))
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for worker := 0; worker < min(runtime.GOMAXPROCS(0), len(sreq.Requests)); worker++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(sreq.Requests) {
-					return
-				}
-				res := &resolutions[i]
-				res.key, res.err = routingKey(sreq.Requests[i])
-				if res.err == nil {
-					res.body, res.err = json.Marshal(sreq.Requests[i])
-				}
-			}
-		}()
-	}
-	wg.Wait()
-
-	type group struct {
-		key     string
-		body    []byte
-		indices []int
-	}
-	groups := make(map[string]*group)
-	var order []*group
-	for i, res := range resolutions {
-		if res.err != nil {
-			summary.Errors++
-			emit(service.SweepLine{Index: i, Error: res.err.Error()})
-			continue
-		}
-		g, ok := groups[res.key]
-		if !ok {
-			g = &group{key: res.key, body: res.body}
-			groups[res.key] = g
-			order = append(order, g)
-		} else {
-			summary.Deduped++
-		}
-		g.indices = append(g.indices, i)
-	}
-
-	type outcome struct {
-		g   *group
-		res *upstream
-		err error
-	}
-	results := make(chan outcome)
-	var nextGroup atomic.Int64
-	for worker := 0; worker < min(len(order), r.cfg.SweepConcurrency); worker++ {
-		go func() {
-			for {
-				gi := int(nextGroup.Add(1)) - 1
-				if gi >= len(order) {
-					return
-				}
-				g := order[gi]
-				res, _, err := r.estimateOnce(req.Context(), g.key, g.body)
-				results <- outcome{g: g, res: res, err: err}
-			}
-		}()
-	}
-
-	for range order {
-		out := <-results
-		for _, i := range out.g.indices {
-			err := out.err
-			if err == nil && out.res.status != http.StatusOK {
-				err = fmt.Errorf("worker %s returned %d: %s", out.res.node, out.res.status, strings.TrimSpace(string(out.res.body)))
-			}
-			if err != nil {
-				summary.Errors++
-				emit(service.SweepLine{Index: i, Key: out.g.key, Error: err.Error()})
-				continue
-			}
-			summary.OK++
-			switch out.res.cache {
-			case "hit":
-				summary.CacheHits++
-			case "disk":
-				summary.CacheHits++
-				summary.DiskHits++
-			}
-			emit(service.SweepLine{Index: i, Key: out.res.key, Result: out.res.body, Node: out.res.node})
-		}
-	}
-	summary.ElapsedMS = time.Since(start).Milliseconds()
-	enc.Encode(summary)
+		return res.body, res.key, res.cache, res.node, nil
+	}, nil
 }
 
 // NodeHealth is one worker's row in the aggregated /healthz.

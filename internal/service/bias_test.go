@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -113,5 +114,34 @@ func TestEstimateRequestExplicitBias(t *testing.T) {
 	body := readAll(t, reject)
 	if reject.StatusCode == http.StatusOK {
 		t.Errorf("bias 0.5 accepted, want a client error: %s", body)
+	}
+}
+
+// TestBiasedEstimateDominantWeightEncodes: an auto-biased request whose
+// loss weights are dominated by one trial (effective samples in (1, 2))
+// once came back as HTTP 500 "json: unsupported value: -Inf", because
+// the weighted MTTDL interval had no degrees of freedom. It must answer
+// 200 with finite bounds.
+func TestBiasedEstimateDominantWeightEncodes(t *testing.T) {
+	_, ts := newTestService(t)
+	seed := uint64(254223409361203)
+	req := EstimateRequest{Replicas: 3, Trials: 2000, HorizonYears: 10, Seed: &seed, Bias: -1}
+	resp := postJSON(t, ts.URL+"/estimate", req)
+	body := readAll(t, resp)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("dominant-weight request: %s: %s", resp.Status, body)
+	}
+	var est struct {
+		MTTDL struct{ Point, Lo, Hi float64 } `json:"mttdl_hours"`
+		estimateBiasFields
+	}
+	if err := json.Unmarshal(body, &est); err != nil {
+		t.Fatal(err)
+	}
+	if est.EffectiveSamples == nil || *est.EffectiveSamples >= 2 {
+		t.Errorf("effective_samples = %v, want below 2 (the case this request pins)", est.EffectiveSamples)
+	}
+	if m := est.MTTDL; !(m.Lo <= m.Point && m.Point <= m.Hi) || math.IsInf(m.Lo, 0) || math.IsInf(m.Hi, 0) {
+		t.Errorf("mttdl_hours = %+v, want a finite interval around the point", m)
 	}
 }

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"errors"
+	"fmt"
 	"hash/fnv"
 	"strconv"
 	"sync"
@@ -177,7 +178,7 @@ func (s *scheduler) run(sh *shard, j *job) {
 	s.inflight.Add(1)
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.timeout)
-	j.val, j.err = j.fn(telemetry.WithTrace(ctx, j.trace))
+	j.val, j.err = call(telemetry.WithTrace(ctx, j.trace), j.fn)
 	cancel()
 	s.inflight.Add(-1)
 	timedOut := j.err != nil && errors.Is(j.err, context.DeadlineExceeded)
@@ -207,6 +208,18 @@ func (s *scheduler) run(sh *shard, j *job) {
 	sh.mu.Unlock()
 	close(j.done)
 	s.jobs.Done()
+}
+
+// call runs fn, turning a panic into an error: a bad job fails its own
+// request (and its coalesced waiters) instead of killing the shard
+// worker, and the daemon with it.
+func call(ctx context.Context, fn func(context.Context) ([]byte, error)) (val []byte, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			val, err = nil, fmt.Errorf("service: job panicked: %v", p)
+		}
+	}()
+	return fn(ctx)
 }
 
 // Submit schedules fn under key and waits for its result. Duplicate

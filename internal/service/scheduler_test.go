@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net/http"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -62,6 +63,32 @@ func TestSchedulerSingleFlight(t *testing.T) {
 	wg.Wait()
 	if got := runs.Load(); got != 1 {
 		t.Errorf("fn ran %d times for 10 duplicate submissions, want 1", got)
+	}
+}
+
+// TestSchedulerSurvivesPanickingJob: a job that panics fails with an
+// error mapped to 500, counts as failed, and leaves its shard's worker
+// running for the next job.
+func TestSchedulerSurvivesPanickingJob(t *testing.T) {
+	s := newScheduler(1, 8, time.Minute)
+	defer s.Shutdown(context.Background())
+	_, err := s.Submit(context.Background(), "bad", func(context.Context) ([]byte, error) {
+		panic("boom")
+	})
+	if err == nil {
+		t.Fatal("panicking job returned no error")
+	}
+	if got := submitStatus(err); got != http.StatusInternalServerError {
+		t.Errorf("panicking job status = %d, want 500", got)
+	}
+	v, err := s.Submit(context.Background(), "good", func(context.Context) ([]byte, error) {
+		return []byte("ok"), nil
+	})
+	if err != nil || string(v) != "ok" {
+		t.Fatalf("job after the panic = %q, %v; want the shard worker still serving", v, err)
+	}
+	if st := s.Stats(); st.Completed != 1 || st.Failed != 1 || st.Inflight != 0 {
+		t.Errorf("completed/failed/inflight = %d/%d/%d, want 1/1/0", st.Completed, st.Failed, st.Inflight)
 	}
 }
 

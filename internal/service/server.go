@@ -8,7 +8,6 @@ import (
 	"log/slog"
 	"math"
 	"net/http"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -102,7 +101,13 @@ func New(cfg Config) *Service {
 	})
 
 	s.mux.HandleFunc("POST /estimate", s.handleEstimate)
-	s.mux.HandleFunc("POST /sweep", s.handleSweep)
+	s.mux.Handle("POST /sweep", &Sweep{
+		Resolve: s.sweepPoint,
+		// Below total queue capacity, so a large sweep waits its turn
+		// instead of tripping 503s.
+		Width:   max(1, cfg.Shards*cfg.QueueDepth/2),
+		Deduped: s.countDeduped,
+	})
 	s.mux.HandleFunc("POST /scenarios/expand", s.handleScenarioExpand)
 	s.mux.HandleFunc("GET /experiments", s.handleExperiments)
 	s.mux.HandleFunc("POST /experiments/run", s.handleExperimentRun)
@@ -501,207 +506,6 @@ func (s *Service) streamEstimate(w http.ResponseWriter, r *http.Request, req Est
 	emit(EstimateFrame{Final: true, Key: key, Cache: "miss", Result: body})
 }
 
-// SweepRequest fans a batch of estimate requests across the worker
-// pool: either an explicit request list, or a scenario document the
-// server expands through exactly the path a client would (so both
-// spellings yield byte-identical result lines and share cache entries).
-type SweepRequest struct {
-	Requests []EstimateRequest  `json:"requests,omitempty"`
-	Scenario *scenario.Document `json:"scenario,omitempty"`
-}
-
-// SweepLine is one NDJSON line of a sweep response: a per-request result
-// (in completion order, Index mapping it back to the request) or error.
-// The final line is the summary (Summary true, Result empty).
-type SweepLine struct {
-	Index     int             `json:"index"`
-	Key       string          `json:"key,omitempty"`
-	Error     string          `json:"error,omitempty"`
-	Result    json.RawMessage `json:"result,omitempty"`
-	Summary   bool            `json:"summary,omitempty"`
-	Requested int             `json:"requested,omitempty"`
-	OK        int             `json:"ok,omitempty"`
-	Errors    int             `json:"errors,omitempty"`
-	CacheHits int             `json:"cache_hits,omitempty"`
-	// Deduped counts the indices that shared another index's fingerprint
-	// within this batch and replayed its bytes instead of scheduling (or
-	// cache-probing) their own run.
-	Deduped int `json:"deduped,omitempty"`
-	// DiskHits counts the subset of CacheHits answered by the persistent
-	// store rather than the memory LRU (additive; memory-only daemons
-	// never emit it). Node is the worker a routed sweep point was served
-	// by — set only by the ltsimr router, never by a single daemon.
-	DiskHits  int    `json:"disk_hits,omitempty"`
-	Node      string `json:"node,omitempty"`
-	ElapsedMS int64  `json:"elapsed_ms,omitempty"`
-}
-
-// handleSweep streams a batch: every request is fingerprinted up front,
-// identical fingerprints are deduplicated batch-wide (one scheduled run
-// per unique key — a cold sweep of N identical requests simulates once,
-// and every duplicate index replays the same bytes), and each unique
-// key is served from cache or scheduled and written back as NDJSON
-// lines the moment it finishes — results interleave across workers, so
-// a sweep's wall clock is the slowest shard, not the sum. A trailing
-// summary line reports totals, the batch's cache-hit count, and how
-// many indices the dedupe absorbed.
-func (s *Service) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
-		return
-	}
-	if req.Scenario != nil {
-		if len(req.Requests) > 0 {
-			writeError(w, http.StatusBadRequest, errors.New("sweep takes requests or a scenario, not both"))
-			return
-		}
-		points, err := scenario.Expand(*req.Scenario)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, err)
-			return
-		}
-		req.Requests = make([]EstimateRequest, len(points))
-		for i, pt := range points {
-			req.Requests[i] = pt.Request
-		}
-	}
-	if len(req.Requests) == 0 {
-		writeError(w, http.StatusBadRequest, errors.New("sweep needs at least one request"))
-		return
-	}
-	// Explicit request lists honor the same bound scenario expansion
-	// enforces, so neither spelling can queue unbounded work.
-	if len(req.Requests) > scenario.MaxPoints {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("sweep of %d requests exceeds the %d limit", len(req.Requests), scenario.MaxPoints))
-		return
-	}
-	start := time.Now()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	emit := func(line SweepLine) {
-		enc.Encode(line)
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	summary := SweepLine{Summary: true, Requested: len(req.Requests)}
-
-	// Resolve everything up front — fingerprinting is pure CPU (build +
-	// canonicalize + hash), so a large batch fans it across cores rather
-	// than stalling the stream on one goroutine — then group indices by
-	// fingerprint serially, so the batch schedules each unique
-	// configuration exactly once.
-	type resolution struct {
-		key     string
-		compute func(context.Context) ([]byte, error)
-		err     error
-	}
-	resolutions := make([]resolution, len(req.Requests))
-	var wg sync.WaitGroup
-	var nextResolve atomic.Int64
-	for worker := 0; worker < min(runtime.GOMAXPROCS(0), len(req.Requests)); worker++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(nextResolve.Add(1)) - 1
-				if i >= len(req.Requests) {
-					return
-				}
-				r := &resolutions[i]
-				r.key, r.compute, r.err = s.resolve(req.Requests[i])
-			}
-		}()
-	}
-	wg.Wait()
-
-	type group struct {
-		key     string
-		compute func(context.Context) ([]byte, error)
-		indices []int
-	}
-	groups := make(map[string]*group)
-	var order []*group
-	for i, r := range resolutions {
-		if r.err != nil {
-			// Invalid requests answer immediately, in index order, ahead
-			// of any simulation output.
-			summary.Errors++
-			emit(SweepLine{Index: i, Error: r.err.Error()})
-			continue
-		}
-		g, ok := groups[r.key]
-		if !ok {
-			g = &group{key: r.key, compute: r.compute}
-			groups[r.key] = g
-			order = append(order, g)
-		} else {
-			summary.Deduped++
-		}
-		g.indices = append(g.indices, i)
-	}
-	if summary.Deduped > 0 {
-		s.sweepDeduped.Add(uint64(summary.Deduped))
-		s.metrics.sweepDeduped.Add(uint64(summary.Deduped))
-	}
-
-	type outcome struct {
-		g    *group
-		body []byte
-		err  error
-		hit  bool
-		tier string
-	}
-	results := make(chan outcome)
-	// A fixed pool of submitters, sized below total queue capacity so a
-	// large sweep applies backpressure to itself instead of tripping
-	// 503s — and so a 65k-point batch costs a few dozen goroutines, not
-	// one per group.
-	var nextGroup atomic.Int64
-	for worker := 0; worker < min(len(order), max(1, s.cfg.Shards*s.cfg.QueueDepth/2)); worker++ {
-		go func() {
-			for {
-				gi := int(nextGroup.Add(1)) - 1
-				if gi >= len(order) {
-					return
-				}
-				g := order[gi]
-				body, tier, hit := s.cacheGet(g.key)
-				var err error
-				if !hit {
-					body, err = s.submitWithRetry(r.Context(), g.key, g.compute)
-				}
-				results <- outcome{g: g, body: body, err: err, hit: hit, tier: tier}
-			}
-		}()
-	}
-
-	for range order {
-		out := <-results
-		for _, i := range out.g.indices {
-			if out.err != nil {
-				summary.Errors++
-				emit(SweepLine{Index: i, Key: out.g.key, Error: out.err.Error()})
-				continue
-			}
-			summary.OK++
-			if out.hit {
-				summary.CacheHits++
-				if out.tier == tierDisk {
-					summary.DiskHits++
-				}
-			}
-			emit(SweepLine{Index: i, Key: out.g.key, Result: out.body})
-		}
-	}
-	summary.ElapsedMS = time.Since(start).Milliseconds()
-	enc.Encode(summary)
-}
-
 // ExpandLine is one NDJSON line of a /scenarios/expand dry run: an
 // expanded point (its deterministic index, the coordinates that
 // produced it, the policy-effective request, and the fingerprint a
@@ -743,29 +547,16 @@ func (s *Service) handleScenarioExpand(w http.ResponseWriter, r *http.Request) {
 	// Fingerprinting is the same CPU-bound work the sweep parallelizes;
 	// resolve across cores, then emit in index order.
 	lines := make([]ExpandLine, len(points))
-	var wg sync.WaitGroup
-	var next atomic.Int64
-	for worker := 0; worker < min(runtime.GOMAXPROCS(0), len(points)); worker++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(points) {
-					return
-				}
-				line := ExpandLine{Index: points[i].Index, Coords: points[i].Coords}
-				if key, eff, _, _, err := s.resolved(points[i].Request); err != nil {
-					line.Error = err.Error()
-				} else {
-					line.Key = key
-					line.Request = &eff
-				}
-				lines[i] = line
-			}
-		}()
-	}
-	wg.Wait()
+	parallelFor(len(points), func(i int) {
+		line := ExpandLine{Index: points[i].Index, Coords: points[i].Coords}
+		if key, eff, _, _, err := s.resolved(points[i].Request); err != nil {
+			line.Error = err.Error()
+		} else {
+			line.Key = key
+			line.Request = &eff
+		}
+		lines[i] = line
+	})
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
@@ -779,28 +570,6 @@ func (s *Service) handleScenarioExpand(w http.ResponseWriter, r *http.Request) {
 		enc.Encode(line)
 	}
 	enc.Encode(summary)
-}
-
-// submitWithRetry is Submit with backoff on a full shard queue: the
-// sweep semaphore caps total concurrency, but key hashing can still
-// skew submissions onto one shard, and a sweep item should wait its
-// turn rather than surface a transient 503 as a failed line.
-func (s *Service) submitWithRetry(ctx context.Context, key string, compute func(context.Context) ([]byte, error)) ([]byte, error) {
-	backoff := 5 * time.Millisecond
-	for {
-		body, err := s.sched.Submit(ctx, key, compute)
-		if !errors.Is(err, ErrQueueFull) {
-			return body, err
-		}
-		select {
-		case <-time.After(backoff):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		if backoff < 200*time.Millisecond {
-			backoff *= 2
-		}
-	}
 }
 
 // handleExperiments lists the registered experiment index.

@@ -44,7 +44,9 @@
 //	                      expanded server-side; identical fingerprints
 //	                      within one batch are deduplicated (one
 //	                      scheduled run per unique key, duplicates
-//	                      replay its bytes, "deduped" in the summary)
+//	                      replay its bytes, "deduped" in the summary).
+//	                      The engine (Sweep) is shared with ltsimr,
+//	                      which runs it over the worker ring
 //	POST /scenarios/expand dry-run a scenario document: NDJSON of
 //	                      expanded points with policy-effective requests
 //	                      and the fingerprints a sweep would cache under

@@ -99,10 +99,12 @@ func (m *WeightedMean) Variance() float64 {
 // MeanCI returns a Student-t interval for the weighted mean with the
 // effective sample size standing in for the observation count — the
 // standard large-sample approximation for importance-sampled means. It
-// returns ErrNoData when the effective sample size is not above 1.
+// returns ErrNoData when the effective sample size is below 2: the
+// interval has int(ess)−1 degrees of freedom, and zero of them would
+// make it (−Inf, +Inf).
 func (m *WeightedMean) MeanCI(level float64) (Interval, error) {
 	ess := m.EffectiveN()
-	if ess <= 1 {
+	if ess < 2 {
 		return Interval{}, ErrNoData
 	}
 	se := math.Sqrt(m.Variance() / ess)
@@ -221,7 +223,7 @@ func (p *WeightedProportion) ControlVariateCI(level float64) (Interval, error) {
 	if s2 > 0 {
 		half = zCritical(level) * math.Sqrt(s2/n)
 	}
-	return Interval{Point: point, Lo: math.Max(0, point - half), Hi: math.Min(1, point + half), Level: level}, nil
+	return Interval{Point: point, Lo: math.Max(0, point-half), Hi: math.Min(1, point+half), Level: level}, nil
 }
 
 // CI returns the normal-approximation interval for the Horvitz–
@@ -243,5 +245,5 @@ func (p *WeightedProportion) CI(level float64) (Interval, error) {
 			half = zCritical(level) * math.Sqrt(s2/n)
 		}
 	}
-	return Interval{Point: point, Lo: math.Max(0, point - half), Hi: math.Min(1, point + half), Level: level}, nil
+	return Interval{Point: point, Lo: math.Max(0, point-half), Hi: math.Min(1, point+half), Level: level}, nil
 }

@@ -45,6 +45,28 @@ func TestWeightedMeanMatchesTwoPass(t *testing.T) {
 	}
 }
 
+// TestWeightedMeanCIDominantWeight: one weight dwarfing the rest puts
+// the effective sample size in (1, 2), where a t-interval has no degrees
+// of freedom; MeanCI must report no data rather than an infinite
+// interval.
+func TestWeightedMeanCIDominantWeight(t *testing.T) {
+	var m WeightedMean
+	m.Add(10, 1)
+	m.Add(20, 0.05)
+	m.Add(30, 0.05)
+	if ess := m.EffectiveN(); ess <= 1 || ess >= 2 {
+		t.Fatalf("EffectiveN = %v, want in (1, 2)", ess)
+	}
+	if iv, err := m.MeanCI(0.95); err != ErrNoData {
+		t.Errorf("MeanCI = %+v, %v; want ErrNoData", iv, err)
+	}
+	m.Add(15, 1)
+	iv, err := m.MeanCI(0.95)
+	if err != nil || math.IsInf(iv.Lo, 0) || math.IsInf(iv.Hi, 0) {
+		t.Errorf("MeanCI at EffectiveN %v = %+v, %v; want a finite interval", m.EffectiveN(), iv, err)
+	}
+}
+
 func TestWeightedMeanEqualWeightsDegeneratesToRunning(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	var wm WeightedMean

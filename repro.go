@@ -91,8 +91,7 @@
 // and tier label; FleetConfig builds such a config from named storage
 // specs. The scalar SimConfig fields remain the uniform shorthand — a
 // scalar-only config expands into identical per-replica specs and stays
-// byte-identical to its pre-Specs behavior under the same seed. The old
-// ScrubPerReplica field is deprecated in favor of Specs[i].Scrub.
+// byte-identical to its pre-Specs behavior under the same seed.
 //
 //	fleet, _ := repro.FleetConfig(        // consumer + enterprise + tape
 //		repro.DiskStorageSpec(repro.Barracuda200(), 12),
