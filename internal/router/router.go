@@ -14,6 +14,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/flight"
 	"repro/internal/service"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -71,17 +72,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// flight is one in-flight upstream computation; duplicate keys wait on
-// done and replay the owner's outcome — the router half of cluster-wide
-// single-flight (the worker's shard scheduler is the other half, for
-// duplicates that slip past the router, e.g. from clients hitting
-// workers directly).
-type flight struct {
-	done chan struct{}
-	res  *upstream
-	err  error
-}
-
 // upstream is one worker response, buffered for replay to coalesced
 // waiters.
 type upstream struct {
@@ -102,8 +92,10 @@ type Router struct {
 	logger *slog.Logger
 	start  time.Time
 
-	flightMu sync.Mutex
-	flights  map[string]*flight
+	// flights is the router half of cluster-wide single-flight; the
+	// workers' shard schedulers are the other half, for duplicates that
+	// slip past the router (e.g. clients hitting workers directly).
+	flights flight.Group[*upstream]
 
 	probeStop   context.CancelFunc
 	probeDone   chan struct{}
@@ -155,7 +147,6 @@ func New(cfg Config) (*Router, error) {
 		client:    cfg.Client,
 		logger:    cfg.Logger,
 		start:     time.Now(),
-		flights:   make(map[string]*flight),
 		probeDone: make(chan struct{}),
 	}
 	r.metrics = &routerMetrics{
@@ -279,9 +270,17 @@ func routingKey(req service.EstimateRequest) (string, error) {
 	return sim.Fingerprint(cfg, opt)
 }
 
-// forward is the routing loop behind every proxied estimate: pick the
-// worker owning key (skipping workers that already failed this
-// request), POST body to its /estimate, and hand the response to
+// hold takes node, picked from the ring, for one upstream request;
+// forward releases it.
+func (r *Router) hold(node *Node) *Node {
+	node.acquire()
+	r.routedTotal.Add(1)
+	r.metrics.requests.With(node.Name).Inc()
+	return node
+}
+
+// forward is the routing loop behind every proxied estimate: POST body
+// to node's /estimate (node held by hold) and hand the response to
 // consume while the worker is held. A transport failure, or consume
 // reporting that the body died mid-read, ejects the worker (the prober
 // re-admits it when it recovers) and retries on the ring successor; the
@@ -289,16 +288,9 @@ func routingKey(req service.EstimateRequest) (string, error) {
 // retried answer is the same bytes. HTTP error statuses are the worker
 // *answering* — backpressure 503s and 4xxs reach consume untouched, for
 // the client's own retry policy.
-func (r *Router) forward(ctx context.Context, key string, body []byte, consume func(*Node, *http.Response) error) error {
+func (r *Router) forward(ctx context.Context, node *Node, key string, body []byte, consume func(*Node, *http.Response) error) error {
 	var exclude []string
 	for {
-		node, err := r.ring.Pick(key, exclude...)
-		if err != nil {
-			return err
-		}
-		node.acquire()
-		r.routedTotal.Add(1)
-		r.metrics.requests.With(node.Name).Inc()
 		req, err := http.NewRequestWithContext(ctx, http.MethodPost, node.URL+"/estimate", bytes.NewReader(body))
 		if err != nil {
 			node.release()
@@ -325,13 +317,19 @@ func (r *Router) forward(ctx context.Context, key string, body []byte, consume f
 		exclude = append(exclude, node.Name)
 		r.retries.Add(1)
 		r.metrics.retries.Inc()
+		next, err := r.ring.Pick(key, exclude...)
+		if err != nil {
+			return err
+		}
+		node = r.hold(next)
 	}
 }
 
-// dispatch sends body to the worker owning key and buffers its answer.
-func (r *Router) dispatch(ctx context.Context, key string, body []byte) (*upstream, error) {
+// dispatch sends body to node, the held worker the ring chose for key,
+// and buffers its answer.
+func (r *Router) dispatch(ctx context.Context, node *Node, key string, body []byte) (*upstream, error) {
 	var res *upstream
-	err := r.forward(ctx, key, body, func(node *Node, resp *http.Response) error {
+	err := r.forward(ctx, node, key, body, func(node *Node, resp *http.Response) error {
 		payload, err := io.ReadAll(resp.Body)
 		if err != nil {
 			return err
@@ -349,31 +347,28 @@ func (r *Router) dispatch(ctx context.Context, key string, body []byte) (*upstre
 }
 
 // estimateOnce runs one non-progress estimate through the cluster-wide
-// single-flight table: the first holder of a key dispatches, duplicates
-// wait and replay its buffered outcome.
+// single-flight table: the first caller of a key dispatches, duplicates
+// join and replay its buffered outcome. The worker is picked before the
+// table is locked, so concurrent callers meet the bounded-load rule in
+// arrival order. The dispatch runs on its own goroutine without the
+// caller's cancellation: a caller that gives up ends only its own wait,
+// and the request still completes (within the worker's job timeout),
+// answers the other waiters and warms the worker's cache.
 func (r *Router) estimateOnce(ctx context.Context, key string, body []byte) (*upstream, bool, error) {
-	r.flightMu.Lock()
-	if f, dup := r.flights[key]; dup {
-		r.flightMu.Unlock()
+	node, err := r.ring.Pick(key)
+	if err != nil {
+		return nil, false, err
+	}
+	res, joined, err := r.flights.Do(ctx, key, func(finish func(*upstream, error)) error {
+		r.hold(node)
+		go func() { finish(r.dispatch(context.WithoutCancel(ctx), node, key, body)) }()
+		return nil
+	})
+	if joined {
 		r.coalesced.Add(1)
 		r.metrics.coalesced.Inc()
-		select {
-		case <-f.done:
-			return f.res, true, f.err
-		case <-ctx.Done():
-			return nil, true, ctx.Err()
-		}
 	}
-	f := &flight{done: make(chan struct{})}
-	r.flights[key] = f
-	r.flightMu.Unlock()
-
-	f.res, f.err = r.dispatch(ctx, key, body)
-	r.flightMu.Lock()
-	delete(r.flights, key)
-	r.flightMu.Unlock()
-	close(f.done)
-	return f.res, false, f.err
+	return res, joined, err
 }
 
 // handleEstimate proxies one estimate to the worker owning its
@@ -383,16 +378,14 @@ func (r *Router) estimateOnce(ctx context.Context, key string, body []byte) (*up
 // are routed by the same key but proxied straight through — a stream
 // cannot be buffered for replay.
 func (r *Router) handleEstimate(w http.ResponseWriter, req *http.Request) {
-	body, err := io.ReadAll(req.Body)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err)
+	var er service.EstimateRequest
+	if !service.DecodeBody(w, req, &er) {
 		return
 	}
-	var er service.EstimateRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&er); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	// Forward what was decoded, as a sweep point does.
+	body, err := json.Marshal(er)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, err)
 		return
 	}
 	key, err := routingKey(er)
@@ -443,7 +436,12 @@ func upstreamStatus(err error) int {
 // retries on the successor; after frames have flowed the stream just
 // ends (the client re-requests and hits the successor's cache).
 func (r *Router) proxyStream(w http.ResponseWriter, ctx context.Context, key string, body []byte) {
-	err := r.forward(ctx, key, body, func(node *Node, resp *http.Response) error {
+	node, err := r.ring.Pick(key)
+	if err != nil {
+		writeError(w, upstreamStatus(err), err)
+		return
+	}
+	err = r.forward(ctx, r.hold(node), key, body, func(node *Node, resp *http.Response) error {
 		h := w.Header()
 		for _, name := range []string{"Content-Type", "X-Ltsimd-Key", "X-Ltsimd-Cache"} {
 			if v := resp.Header.Get(name); v != "" {

@@ -527,3 +527,102 @@ func TestRouterProgressStreamProxied(t *testing.T) {
 		t.Fatalf("final frame is not JSON: %v", err)
 	}
 }
+
+// TestRouterOwnerCancelKeepsFollower: when the client whose request
+// opened a router flight disconnects, a duplicate still waiting gets the
+// answer — the owner's cancel ends only the owner's wait, the dispatch
+// completes and warms the worker's cache.
+func TestRouterOwnerCancelKeepsFollower(t *testing.T) {
+	ws := startWorkers(t, 2, nil)
+	for _, w := range ws {
+		w.delay.Store(int64(300 * time.Millisecond))
+	}
+	rt, ts := startRouter(t, ws)
+
+	req := estReq{Trials: 110, HorizonYears: 50, Alpha: 0.3}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ownerCtx, cancelOwner := context.WithCancel(context.Background())
+	defer cancelOwner()
+	ownerDone := make(chan struct{})
+	go func() {
+		defer close(ownerDone)
+		hreq, _ := http.NewRequestWithContext(ownerCtx, http.MethodPost, ts.URL+"/estimate", bytes.NewReader(body))
+		if resp, err := http.DefaultClient.Do(hreq); err == nil {
+			resp.Body.Close()
+		}
+	}()
+	time.Sleep(100 * time.Millisecond) // the owner's dispatch is stalled at the worker
+
+	type result struct {
+		status int
+		body   []byte
+	}
+	followed := make(chan result, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/estimate", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			followed <- result{}
+			return
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		followed <- result{resp.StatusCode, b}
+	}()
+	time.Sleep(50 * time.Millisecond) // the follower joins the flight
+	cancelOwner()
+	<-ownerDone
+
+	got := <-followed
+	if got.status != http.StatusOK {
+		t.Fatalf("follower got %d %s after the owner cancelled, want 200", got.status, got.body)
+	}
+	for _, w := range ws {
+		w.delay.Store(0)
+	}
+	if fresh := slurp(t, post(t, ts.URL+"/estimate", req)); !bytes.Equal(got.body, fresh) {
+		t.Fatal("follower's bytes differ from a fresh request's")
+	}
+	if got := completedAcross(ws); got != 1 {
+		t.Fatalf("cluster scheduled %d runs, want 1", got)
+	}
+	if got := rt.coalesced.Load(); got != 1 {
+		t.Fatalf("router coalesced %d requests, want 1", got)
+	}
+}
+
+// endless is an unbounded request body: a JSON prefix, then whitespace
+// forever, so only the body limit can end the read.
+type endless struct{ prefix string }
+
+func (e *endless) Read(p []byte) (int, error) {
+	n := copy(p, e.prefix)
+	e.prefix = e.prefix[n:]
+	for i := n; i < len(p); i++ {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestRouterOversizedBodyRejected: the router answers an over-limit body
+// with 413 and the worker's JSON error shape instead of buffering it
+// without bound, on /estimate as on the shared /sweep engine.
+func TestRouterOversizedBodyRejected(t *testing.T) {
+	rt, _ := startRouter(t, startWorkers(t, 1, nil))
+	for _, c := range []struct{ path, prefix string }{
+		{"/estimate", `{"trials":10,`},
+		{"/sweep", `{"requests":[`},
+	} {
+		rec := httptest.NewRecorder()
+		rt.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, &endless{prefix: c.prefix}))
+		var body struct {
+			Error string `json:"error"`
+		}
+		if rec.Code != http.StatusRequestEntityTooLarge || json.Unmarshal(rec.Body.Bytes(), &body) != nil || body.Error == "" {
+			t.Errorf("%s with an endless body: %d %q, want 413 with a JSON error", c.path, rec.Code, rec.Body.String())
+		}
+	}
+}

@@ -183,7 +183,7 @@ func TestServicePolicyDefaults(t *testing.T) {
 
 // Concurrent identical progress requests must coalesce onto one
 // simulation: every response carries the same bytes, and the run
-// executes once (one cache miss).
+// executes once (one scheduled run).
 func TestProgressSingleFlight(t *testing.T) {
 	svc, ts := newTestService(t)
 	seed := uint64(21)
@@ -219,11 +219,10 @@ func TestProgressSingleFlight(t *testing.T) {
 			t.Error("coalesced clients got different results")
 		}
 	}
-	// Every duplicate resolves through the cache — either by coalescing
-	// onto the in-flight owner (post-wait hit) or by arriving after it
-	// finished (initial hit). Independent recomputation records none.
-	if hits := svc.cache.Stats().Hits; hits < clients-1 {
-		t.Errorf("cache recorded %d hits for %d coalesced clients; simulations were duplicated", hits, clients)
+	// Every duplicate either joins the owner's run in flight or arrives
+	// after it finished and replays the cache: the scheduler ran it once.
+	if runs := svc.Stats().Scheduler.Completed; runs != 1 {
+		t.Errorf("scheduler ran %d simulations for %d coalesced clients, want 1", runs, clients)
 	}
 }
 
@@ -236,4 +235,149 @@ func TestEstimateProgressBadRequest(t *testing.T) {
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad progress request: %s, want 400", resp.Status)
 	}
+}
+
+// firstFrame posts a progress request under ctx and returns the
+// response once its first frame has arrived, with a scanner positioned
+// after that frame.
+func firstFrame(t *testing.T, ctx context.Context, url string, req EstimateRequest) (*http.Response, *bufio.Scanner, EstimateFrame) {
+	t.Helper()
+	b, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url+"/estimate", bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("progress request: %s: %s", resp.Status, readAll(t, resp))
+	}
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	if !sc.Scan() {
+		t.Fatalf("progress stream ended before its first frame: %v", sc.Err())
+	}
+	var f EstimateFrame
+	if err := json.Unmarshal(sc.Bytes(), &f); err != nil {
+		t.Fatalf("bad frame %q: %v", sc.Text(), err)
+	}
+	return resp, sc, f
+}
+
+// finalFrame reads a progress stream to its last frame.
+func finalFrame(t *testing.T, resp *http.Response, sc *bufio.Scanner, last EstimateFrame) EstimateFrame {
+	t.Helper()
+	defer resp.Body.Close()
+	for sc.Scan() {
+		if err := json.Unmarshal(sc.Bytes(), &last); err != nil {
+			t.Fatalf("bad frame %q: %v", sc.Text(), err)
+		}
+	}
+	return last
+}
+
+// A progress request that joins a run in flight still gets the final
+// frame when the client that started the run disconnects: the owner's
+// cancel ends only the owner's wait, never the shared run.
+func TestProgressOwnerCancelKeepsFollower(t *testing.T) {
+	svc, ts := newTestService(t)
+	seed := uint64(31)
+	req := EstimateRequest{Trials: 100000, HorizonYears: 50, Seed: &seed, Progress: true}
+
+	ownerCtx, cancelOwner := context.WithCancel(context.Background())
+	defer cancelOwner()
+	owner, _, first := firstFrame(t, ownerCtx, ts.URL, req)
+	defer owner.Body.Close()
+	if first.Progress == nil {
+		t.Fatalf("owner's first frame is not progress: %+v", first)
+	}
+
+	type result struct {
+		final EstimateFrame
+		cache string
+	}
+	body := mustJSON(t, req)
+	followed := make(chan result, 1)
+	go func() {
+		resp, err := http.Post(ts.URL+"/estimate", "application/json", bytes.NewReader(body))
+		if err != nil {
+			t.Error(err)
+			followed <- result{}
+			return
+		}
+		defer resp.Body.Close()
+		var last EstimateFrame
+		sc := bufio.NewScanner(resp.Body)
+		sc.Buffer(make([]byte, 1<<20), 1<<20)
+		for sc.Scan() {
+			json.Unmarshal(sc.Bytes(), &last)
+		}
+		followed <- result{last, resp.Header.Get("X-Ltsimd-Cache")}
+	}()
+	time.Sleep(50 * time.Millisecond) // let the follower join the run
+	cancelOwner()
+
+	got := <-followed
+	if !got.final.Final || len(got.final.Result) == 0 {
+		t.Fatalf("follower got %+v (cache %q) after the owner cancelled, want the final frame", got.final, got.cache)
+	}
+	plain := req
+	plain.Progress = false
+	fresh := bytes.TrimSpace(readAll(t, postJSON(t, ts.URL+"/estimate", plain)))
+	if !bytes.Equal(bytes.TrimSpace(got.final.Result), fresh) {
+		t.Error("follower's final result differs from a fresh request's bytes")
+	}
+	if runs := svc.Stats().Scheduler.Completed; runs != 1 {
+		t.Errorf("scheduler ran %d simulations, want 1", runs)
+	}
+}
+
+// A plain and a progress request for the same key in flight together
+// run one simulation: progress runs queue on the shard scheduler, so the
+// plain request joins the progress run (or the reverse).
+func TestPlainJoinsProgressRun(t *testing.T) {
+	svc, ts := newTestService(t)
+	seed := uint64(32)
+	// Biased, so Stats().BiasedRuns counts every simulation executed,
+	// on or off the scheduler.
+	req := EstimateRequest{Trials: 50000, HorizonYears: 50, Seed: &seed, Bias: 4, Progress: true}
+	before := svc.Stats()
+
+	resp, sc, first := firstFrame(t, context.Background(), ts.URL, req)
+	if first.Progress == nil {
+		t.Fatalf("first frame is not progress: %+v", first)
+	}
+	plain := req
+	plain.Progress = false
+	presp := postJSON(t, ts.URL+"/estimate", plain)
+	if got := presp.Header.Get("X-Ltsimd-Cache"); got != "dedup" {
+		t.Errorf("plain request during the progress run: cache %q, want dedup", got)
+	}
+	body := bytes.TrimSpace(readAll(t, presp))
+	final := finalFrame(t, resp, sc, first)
+	if !final.Final || !bytes.Equal(bytes.TrimSpace(final.Result), body) {
+		t.Fatalf("progress final frame %+v does not carry the plain response's bytes", final)
+	}
+
+	after := svc.Stats()
+	if runs := after.BiasedRuns - before.BiasedRuns; runs != 1 {
+		t.Errorf("%d simulations ran for one key, want 1", runs)
+	}
+	if runs := after.Scheduler.Completed - before.Scheduler.Completed; runs != 1 {
+		t.Errorf("scheduler completed %d runs, want 1", runs)
+	}
+}
+
+func mustJSON(t *testing.T, v any) []byte {
+	t.Helper()
+	b, err := json.Marshal(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
 }

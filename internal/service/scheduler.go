@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/flight"
 	"repro/internal/telemetry"
 )
 
@@ -22,15 +23,11 @@ var (
 	ErrShuttingDown = errors.New("service: scheduler shutting down")
 )
 
-// job is one unit of scheduled work: compute bytes for a key. Waiters
-// block on done; duplicate submissions of an in-flight key join the
-// existing job instead of queueing a second computation.
+// job is one unit of scheduled work: compute bytes for a key, then
+// publish them to every waiter through finish.
 type job struct {
-	key  string
-	fn   func(context.Context) ([]byte, error)
-	done chan struct{}
-	val  []byte
-	err  error
+	fn     func(context.Context) ([]byte, error)
+	finish func([]byte, error)
 	// enqueued timestamps admission, for the queue-wait histogram.
 	enqueued time.Time
 	// trace is the submitting request's span timeline (nil when the
@@ -40,14 +37,10 @@ type job struct {
 	trace *telemetry.Trace
 }
 
-// shard is one scheduler partition: a bounded queue, one worker, and the
-// single-flight table for keys currently queued or running here. Keys
-// hash to shards, so all duplicates of a key meet in the same table and
-// the per-shard mutex never contends across shards.
+// shard is one scheduler partition: a bounded queue and one worker.
+// Keys hash to shards, so all runs of a key queue in the same place.
 type shard struct {
-	queue   chan *job
-	mu      sync.Mutex
-	pending map[string]*job
+	queue chan *job
 	// metrics is the shard's pre-resolved instrument handles; nil until
 	// scheduler.instrument runs (always before traffic in a Service).
 	metrics *shardInstruments
@@ -61,9 +54,11 @@ type shardInstruments struct {
 }
 
 // scheduler fans jobs out across key-hashed shards with per-job
-// timeouts, graceful draining, and aggregate stats.
+// timeouts, graceful draining, and aggregate stats. flights is the
+// single-flight table for keys queued or running on any shard.
 type scheduler struct {
 	shards  []*shard
+	flights flight.Group[[]byte]
 	timeout time.Duration
 
 	baseCtx context.Context
@@ -71,7 +66,7 @@ type scheduler struct {
 	quit    chan struct{}
 	workers sync.WaitGroup
 	// mu makes the closed transition atomic with respect to job
-	// admission: Submit holds the read side across its check-and-Add, so
+	// admission: submit holds the read side across its check-and-Add, so
 	// once Shutdown flips closed under the write lock, every admitted
 	// job is already counted in jobs and jobs.Wait() races with nothing.
 	mu     sync.RWMutex
@@ -129,10 +124,7 @@ func newScheduler(nShards, queueDepth int, timeout time.Duration) *scheduler {
 		quit:    make(chan struct{}),
 	}
 	for i := range s.shards {
-		sh := &shard{
-			queue:   make(chan *job, queueDepth),
-			pending: make(map[string]*job),
-		}
+		sh := &shard{queue: make(chan *job, queueDepth)}
 		s.shards[i] = sh
 		s.workers.Add(1)
 		go s.work(sh)
@@ -178,11 +170,11 @@ func (s *scheduler) run(sh *shard, j *job) {
 	s.inflight.Add(1)
 	start := time.Now()
 	ctx, cancel := context.WithTimeout(s.baseCtx, s.timeout)
-	j.val, j.err = call(telemetry.WithTrace(ctx, j.trace), j.fn)
+	val, err := call(telemetry.WithTrace(ctx, j.trace), j.fn)
 	cancel()
 	s.inflight.Add(-1)
-	timedOut := j.err != nil && errors.Is(j.err, context.DeadlineExceeded)
-	if j.err != nil {
+	timedOut := err != nil && errors.Is(err, context.DeadlineExceeded)
+	if err != nil {
 		s.failed.Add(1)
 		if timedOut {
 			s.timeouts.Add(1)
@@ -193,7 +185,7 @@ func (s *scheduler) run(sh *shard, j *job) {
 	if m := sh.metrics; m != nil {
 		m.queueWait.Observe(wait.Seconds())
 		m.runDur.Observe(time.Since(start).Seconds())
-		if j.err == nil {
+		if err == nil {
 			m.completed.Inc()
 		} else {
 			m.failed.Inc()
@@ -202,11 +194,7 @@ func (s *scheduler) run(sh *shard, j *job) {
 			}
 		}
 	}
-
-	sh.mu.Lock()
-	delete(sh.pending, j.key)
-	sh.mu.Unlock()
-	close(j.done)
+	j.finish(val, err)
 	s.jobs.Done()
 }
 
@@ -231,42 +219,29 @@ func (s *scheduler) Submit(ctx context.Context, key string, fn func(context.Cont
 	return val, err
 }
 
-// submit is Submit reporting whether the call coalesced onto an
-// already-in-flight job for the same key (the "dedup" cache outcome).
-// The owner's submit carries its context trace into the job, so the
-// worker's "running" and the compute path's later marks land on the
-// originating request's timeline.
+// submit is Submit reporting whether the call joined a job in flight
+// for key (the "dedup" cache outcome). A new job fails with
+// ErrShuttingDown or ErrQueueFull, leaving nothing behind, unless the
+// scheduler is open and its shard queue has room. The owner's context
+// trace rides on the job, so the worker's "running" and the compute
+// path's later marks land on the originating request's timeline.
 func (s *scheduler) submit(ctx context.Context, key string, fn func(context.Context) ([]byte, error)) ([]byte, bool, error) {
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
-		return nil, false, ErrShuttingDown
-	}
-	sh := s.shardFor(key)
-
-	sh.mu.Lock()
-	j, joined := sh.pending[key]
-	if !joined {
-		j = &job{key: key, fn: fn, done: make(chan struct{}), enqueued: time.Now(), trace: telemetry.TraceFrom(ctx)}
-		select {
-		case sh.queue <- j:
-			sh.pending[key] = j
-			s.jobs.Add(1)
-		default:
-			sh.mu.Unlock()
-			s.mu.RUnlock()
-			return nil, false, ErrQueueFull
+	return s.flights.Do(ctx, key, func(finish func([]byte, error)) error {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+		if s.closed {
+			return ErrShuttingDown
 		}
-	}
-	sh.mu.Unlock()
-	s.mu.RUnlock()
-
-	select {
-	case <-j.done:
-		return j.val, joined, j.err
-	case <-ctx.Done():
-		return nil, joined, ctx.Err()
-	}
+		j := &job{fn: fn, finish: finish, enqueued: time.Now(), trace: telemetry.TraceFrom(ctx)}
+		s.jobs.Add(1)
+		select {
+		case s.shardFor(key).queue <- j:
+			return nil
+		default:
+			s.jobs.Done()
+			return ErrQueueFull
+		}
+	})
 }
 
 // SchedulerStats is a point-in-time scheduler snapshot. Timeouts is

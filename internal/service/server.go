@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -34,16 +33,8 @@ type Service struct {
 	sched     *scheduler
 	mux       *http.ServeMux
 	start     time.Time
-	// progressSem bounds concurrently-running progress-streamed
-	// simulations. Progress runs execute outside the shard queue, so
-	// this capacity is additive to the scheduler's: at most Shards extra
-	// simulations on top of the Shards queued ones, never unbounded.
-	progressSem chan struct{}
-	// progressMu/progressInflight single-flight progress runs by
-	// canonical key: concurrent duplicates wait for the owner and replay
-	// its cached result instead of recomputing.
-	progressMu       sync.Mutex
-	progressInflight map[string]chan struct{}
+	// progressInflight counts the progress-streamed requests being served.
+	progressInflight atomic.Int64
 
 	// logger receives one structured record per request (the span
 	// timeline) plus service lifecycle events; defaults to discarding.
@@ -64,15 +55,13 @@ type Service struct {
 func New(cfg Config) *Service {
 	cfg = cfg.withDefaults()
 	s := &Service{
-		cfg:              cfg,
-		cache:            newResultCache(cfg.CacheSize),
-		diskStore:        cfg.Store,
-		sched:            newScheduler(cfg.Shards, cfg.QueueDepth, cfg.JobTimeout),
-		mux:              http.NewServeMux(),
-		start:            time.Now(),
-		progressSem:      make(chan struct{}, cfg.Shards),
-		progressInflight: make(map[string]chan struct{}),
-		logger:           cfg.Logger,
+		cfg:       cfg,
+		cache:     newResultCache(cfg.CacheSize),
+		diskStore: cfg.Store,
+		sched:     newScheduler(cfg.Shards, cfg.QueueDepth, cfg.JobTimeout),
+		mux:       http.NewServeMux(),
+		start:     time.Now(),
+		logger:    cfg.Logger,
 	}
 	if s.logger == nil {
 		s.logger = slog.New(slog.DiscardHandler)
@@ -91,10 +80,8 @@ func New(cfg Config) *Service {
 	s.sched.instrument(reg)
 	sim.EnableMetrics(reg)
 	reg.GaugeFunc("ltsimd_progress_inflight",
-		"Progress-streamed estimate runs currently in flight (single-flight owners).", func() float64 {
-			s.progressMu.Lock()
-			defer s.progressMu.Unlock()
-			return float64(len(s.progressInflight))
+		"Progress-streamed estimate requests currently being served.", func() float64 {
+			return float64(s.progressInflight.Load())
 		})
 	reg.GaugeFunc("ltsimd_uptime_seconds", "Seconds since the service started.", func() float64 {
 		return time.Since(s.start).Seconds()
@@ -171,11 +158,60 @@ func (s *Service) cachePut(key string, val []byte) {
 	}
 }
 
+// answer is the one path from key to bytes: the memory tier, then the
+// persistent store, then the shard scheduler, where the request joins a
+// run of key already in flight or starts compute. disp is the
+// X-Ltsimd-Cache disposition: the tier that answered ("hit" or "disk"),
+// "dedup" for a joined run, or "miss" for a fresh one.
+func (s *Service) answer(ctx context.Context, key string, compute func(context.Context) ([]byte, error)) (body []byte, disp string, err error) {
+	if body, tier, hit := s.cacheGet(key); hit {
+		return body, tier, nil
+	}
+	telemetry.TraceFrom(ctx).Mark("queued")
+	body, joined, err := s.sched.submit(ctx, key, compute)
+	if joined {
+		return body, "dedup", err
+	}
+	return body, "miss", err
+}
+
+// writeAnswer writes one JSON answer with its key and cache disposition.
+func writeAnswer(w http.ResponseWriter, key, disp string, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("X-Ltsimd-Key", key)
+	h.Set("X-Ltsimd-Cache", disp)
+	w.Write(body)
+	w.Write([]byte("\n"))
+}
+
 // writeError emits a JSON error body with the given status.
 func writeError(w http.ResponseWriter, status int, err error) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
+}
+
+// maxBodyBytes bounds every request body either front end decodes. It
+// fits an explicit scenario.MaxPoints-point sweep of the largest test
+// fixture request (TestBodyLimitFitsLargestSweep).
+const maxBodyBytes = 64 << 20
+
+// DecodeBody decodes r's body into v, reading at most maxBodyBytes and
+// rejecting unknown fields. On failure it has written the JSON error
+// (413 for an oversized body, 400 otherwise) and returns false.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooLarge):
+		writeError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds the %d-byte limit", tooLarge.Limit))
+	case err != nil:
+		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	}
+	return err == nil
 }
 
 // submitStatus maps a scheduler error onto an HTTP status.
@@ -244,8 +280,9 @@ func (s *Service) resolved(req EstimateRequest) (string, EstimateRequest, sim.Co
 }
 
 // resolve fingerprints one request and returns the compute closure that
-// produces (and caches) its encoded result.
-func (s *Service) resolve(req EstimateRequest) (key string, compute func(context.Context) ([]byte, error), err error) {
+// produces (and caches) its encoded result. observe, when non-nil, gets
+// the run's progress snapshots on the simulation's goroutine.
+func (s *Service) resolve(req EstimateRequest, observe func(sim.Progress)) (key string, compute func(context.Context) ([]byte, error), err error) {
 	key, _, cfg, opt, err := s.resolved(req)
 	if err != nil {
 		return "", nil, err
@@ -258,7 +295,7 @@ func (s *Service) resolve(req EstimateRequest) (key string, compute func(context
 		if opt.Bias != 0 {
 			s.biasedRuns.Add(1)
 		}
-		est, err := runner.EstimateContext(ctx, opt)
+		est, err := runner.EstimateStream(ctx, opt, observe)
 		if err != nil {
 			return nil, err
 		}
@@ -278,50 +315,25 @@ func (s *Service) resolve(req EstimateRequest) (key string, compute func(context
 // bytes; miss schedules the simulation and waits for it.
 func (s *Service) handleEstimate(w http.ResponseWriter, r *http.Request) {
 	var req EstimateRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	if req.Progress {
 		s.streamEstimate(w, r, req)
 		return
 	}
-	tr := telemetry.TraceFrom(r.Context())
-	key, compute, err := s.resolve(req)
+	key, compute, err := s.resolve(req, nil)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	tr.Mark("resolved")
-	body, tier, hit := s.cacheGet(key)
-	joined := false
-	if !hit {
-		tr.Mark("queued")
-		body, joined, err = s.sched.submit(r.Context(), key, compute)
-		if err != nil {
-			writeError(w, submitStatus(err), err)
-			return
-		}
+	telemetry.TraceFrom(r.Context()).Mark("resolved")
+	body, disp, err := s.answer(r.Context(), key, compute)
+	if err != nil {
+		writeError(w, submitStatus(err), err)
+		return
 	}
-	disp := "miss"
-	switch {
-	case hit:
-		// tierMemory ("hit") or tierDisk ("disk"), per the tier that
-		// actually answered.
-		disp = tier
-	case joined:
-		// The request coalesced onto an already-in-flight computation of
-		// the same fingerprint and replayed its bytes.
-		disp = "dedup"
-	}
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("X-Ltsimd-Key", key)
-	h.Set("X-Ltsimd-Cache", disp)
-	w.Write(body)
-	w.Write([]byte("\n"))
+	writeAnswer(w, key, disp, body)
 }
 
 // ProgressJSON is a sim.Progress snapshot on the wire. RelWidth is
@@ -384,126 +396,88 @@ type EstimateFrame struct {
 	Error    string          `json:"error,omitempty"`
 }
 
-// writeFinalFrame serves a cached result as a one-frame NDJSON stream;
-// tier is the cache tier that answered ("hit" or "disk").
-func (s *Service) writeFinalFrame(w http.ResponseWriter, key, tier string, body []byte) {
-	h := w.Header()
-	h.Set("Content-Type", "application/x-ndjson")
-	h.Set("X-Ltsimd-Key", key)
-	h.Set("X-Ltsimd-Cache", tier)
-	json.NewEncoder(w).Encode(EstimateFrame{Final: true, Key: key, Cache: tier, Result: body})
-}
-
-// streamEstimate serves one estimate as an NDJSON stream: progress
-// frames at batch boundaries (throttled), then a final frame with the
-// canonical result body. A cache hit skips straight to the final frame.
-// Progress runs execute on the request goroutine under the per-job
-// timeout rather than on the shard queue — a queued job could not emit
-// frames while it waits — but they are still disciplined: duplicates of
-// an in-flight key coalesce onto the owner's result, at most Shards
-// progress simulations run at once (additively to the scheduler's own
-// Shards workers; excess requests get 503, the same backpressure signal
-// a full shard queue sends), and the result lands in the shared cache
-// under the same canonical key a plain request would use.
+// streamEstimate serves one estimate as an NDJSON stream: throttled
+// progress frames at batch boundaries, then a final frame with the
+// canonical result body. It takes the plain request's path (cache, then
+// scheduler) with a progress observer on the job, which offers snapshots
+// through a one-slot channel without ever blocking the shard worker (a
+// snapshot that finds the slot full is dropped). Only the request that
+// starts a run streams progress; a cache hit or a request that joins a
+// run in flight gets the final frame alone.
 func (s *Service) streamEstimate(w http.ResponseWriter, r *http.Request, req EstimateRequest) {
-	tr := telemetry.TraceFrom(r.Context())
-	key, _, cfg, opt, err := s.resolved(req)
+	s.progressInflight.Add(1)
+	defer s.progressInflight.Add(-1)
+	snapshots := make(chan sim.Progress, 1)
+	var lastOffer time.Time
+	key, compute, err := s.resolve(req, func(p sim.Progress) {
+		// The final frame carries the result. Always offer the first
+		// boundary, then throttle so a million-trial run does not flood
+		// the connection.
+		if p.Final || (!lastOffer.IsZero() && time.Since(lastOffer) < 100*time.Millisecond) {
+			return
+		}
+		lastOffer = time.Now()
+		select {
+		case snapshots <- p:
+		default:
+		}
+	})
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err)
 		return
 	}
-	tr.Mark("resolved")
-	// Serve cache hits before taking a slot: replaying bytes is cheap.
-	if body, tier, hit := s.cacheGet(key); hit {
-		s.writeFinalFrame(w, key, tier, body)
-		return
+	telemetry.TraceFrom(r.Context()).Mark("resolved")
+
+	type outcome struct {
+		body []byte
+		disp string
+		err  error
 	}
-	// Single-flight: a duplicate of an in-flight progress run waits for
-	// the owner and replays its cached bytes instead of recomputing.
-	s.progressMu.Lock()
-	if done, dup := s.progressInflight[key]; dup {
-		s.progressMu.Unlock()
-		select {
-		case <-done:
-		case <-r.Context().Done():
-			return
-		}
-		if body, tier, hit := s.cacheGet(key); hit {
-			s.writeFinalFrame(w, key, tier, body)
-			return
-		}
-		// The owner failed; report rather than silently recomputing.
-		writeError(w, http.StatusInternalServerError, errors.New("service: coalesced progress run failed; retry"))
-		return
-	}
-	done := make(chan struct{})
-	s.progressInflight[key] = done
-	s.progressMu.Unlock()
-	defer func() {
-		s.progressMu.Lock()
-		delete(s.progressInflight, key)
-		s.progressMu.Unlock()
-		close(done)
+	done := make(chan outcome, 1)
+	go func() {
+		body, disp, err := s.answer(r.Context(), key, compute)
+		done <- outcome{body, disp, err}
 	}()
 
-	select {
-	case s.progressSem <- struct{}{}:
-		defer func() { <-s.progressSem }()
-	default:
-		writeError(w, http.StatusServiceUnavailable, errors.New("service: progress-streaming capacity exhausted"))
-		return
-	}
-	h := w.Header()
-	h.Set("Content-Type", "application/x-ndjson")
-	h.Set("X-Ltsimd-Key", key)
 	enc := json.NewEncoder(w)
 	flusher, _ := w.(http.Flusher)
-	emit := func(f EstimateFrame) {
+	// The headers reach the wire with the first frame; later Sets are
+	// no-ops. A snapshot means this request started the run, so its
+	// frames go out as a "miss".
+	emit := func(disp string, f EstimateFrame) {
+		h := w.Header()
+		h.Set("Content-Type", "application/x-ndjson")
+		h.Set("X-Ltsimd-Key", key)
+		h.Set("X-Ltsimd-Cache", disp)
 		enc.Encode(f)
 		if flusher != nil {
 			flusher.Flush()
 		}
 	}
-	h.Set("X-Ltsimd-Cache", "miss")
-
-	runner, err := sim.NewRunner(cfg)
-	if err != nil {
-		emit(EstimateFrame{Error: err.Error(), Key: key})
-		return
-	}
-	// Progress runs execute on the request goroutine, so the span
-	// timeline skips "queued" and marks "running" directly.
-	tr.Mark("running")
-	if opt.Bias != 0 {
-		s.biasedRuns.Add(1)
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.JobTimeout)
-	defer cancel()
-	var lastEmit time.Time
-	est, err := runner.EstimateStream(ctx, opt, func(p sim.Progress) {
-		if p.Final {
-			return // the final frame below carries the result
-		}
-		// Always emit the first boundary, then throttle so a
-		// million-trial run does not flood the connection.
-		if !lastEmit.IsZero() && time.Since(lastEmit) < 100*time.Millisecond {
+	for {
+		select {
+		case p := <-snapshots:
+			emit("miss", EstimateFrame{Progress: newProgressJSON(p), Key: key})
+		case out := <-done:
+			// The run is over, so nothing sends after this: flush the
+			// snapshot it may have left, so the first boundary always
+			// precedes the final frame.
+			if len(snapshots) > 0 {
+				emit("miss", EstimateFrame{Progress: newProgressJSON(<-snapshots), Key: key})
+			}
+			switch {
+			case r.Context().Err() != nil:
+				// The client is gone; a run it started finishes without it.
+			case errors.Is(out.err, ErrQueueFull), errors.Is(out.err, ErrShuttingDown):
+				writeError(w, submitStatus(out.err), out.err)
+			case out.err != nil:
+				emit(out.disp, EstimateFrame{Error: out.err.Error(), Key: key})
+			default:
+				emit(out.disp, EstimateFrame{Final: true, Key: key, Cache: out.disp, Result: out.body})
+			}
 			return
 		}
-		lastEmit = time.Now()
-		emit(EstimateFrame{Progress: newProgressJSON(p), Key: key})
-	})
-	if err != nil {
-		emit(EstimateFrame{Error: err.Error(), Key: key})
-		return
 	}
-	body, err := json.Marshal(report.NewEstimateJSON(est, opt.Horizon))
-	if err != nil {
-		emit(EstimateFrame{Error: err.Error(), Key: key})
-		return
-	}
-	tr.Mark("encoded")
-	s.cachePut(key, body)
-	emit(EstimateFrame{Final: true, Key: key, Cache: "miss", Result: body})
 }
 
 // ExpandLine is one NDJSON line of a /scenarios/expand dry run: an
@@ -533,10 +507,7 @@ type ExpandLine struct {
 // fingerprint-identical to client-side scenario.Expand.
 func (s *Service) handleScenarioExpand(w http.ResponseWriter, r *http.Request) {
 	var doc scenario.Document
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&doc); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding scenario: %w", err))
+	if !DecodeBody(w, r, &doc) {
 		return
 	}
 	points, err := scenario.Expand(doc)
@@ -628,54 +599,41 @@ func (s *Service) handleExperimentRun(w http.ResponseWriter, r *http.Request) {
 		seed = v
 	}
 	key := fmt.Sprintf("exp/v1|%s|seed=%d|quick=%t", e.ID, seed, quick)
-	body, tier, hit := s.cacheGet(key)
-	if !hit {
-		var err error
-		body, err = s.sched.Submit(r.Context(), key, func(ctx context.Context) ([]byte, error) {
-			res, err := runExperiment(ctx, e, experiments.RunConfig{Seed: seed, Quick: quick})
-			if err != nil {
-				return nil, err
-			}
-			out := experimentResult{
-				ID: e.ID, Title: e.Title, Source: e.Source,
-				Tables: res.Tables, Plots: make([]string, 0, len(res.Plots)),
-				Notes: res.Notes,
-			}
-			if out.Tables == nil {
-				out.Tables = []*report.Table{}
-			}
-			if out.Notes == nil {
-				out.Notes = []string{}
-			}
-			for _, p := range res.Plots {
-				var sb strings.Builder
-				if err := p.Render(&sb); err != nil {
-					return nil, err
-				}
-				out.Plots = append(out.Plots, sb.String())
-			}
-			b, err := json.Marshal(out)
-			if err != nil {
-				return nil, err
-			}
-			s.cachePut(key, b)
-			return b, nil
-		})
+	body, disp, err := s.answer(r.Context(), key, func(ctx context.Context) ([]byte, error) {
+		res, err := runExperiment(ctx, e, experiments.RunConfig{Seed: seed, Quick: quick})
 		if err != nil {
-			writeError(w, submitStatus(err), err)
-			return
+			return nil, err
 		}
+		out := experimentResult{
+			ID: e.ID, Title: e.Title, Source: e.Source,
+			Tables: res.Tables, Plots: make([]string, 0, len(res.Plots)),
+			Notes: res.Notes,
+		}
+		if out.Tables == nil {
+			out.Tables = []*report.Table{}
+		}
+		if out.Notes == nil {
+			out.Notes = []string{}
+		}
+		for _, p := range res.Plots {
+			var sb strings.Builder
+			if err := p.Render(&sb); err != nil {
+				return nil, err
+			}
+			out.Plots = append(out.Plots, sb.String())
+		}
+		b, err := json.Marshal(out)
+		if err != nil {
+			return nil, err
+		}
+		s.cachePut(key, b)
+		return b, nil
+	})
+	if err != nil {
+		writeError(w, submitStatus(err), err)
+		return
 	}
-	disp := "miss"
-	if hit {
-		disp = tier
-	}
-	h := w.Header()
-	h.Set("Content-Type", "application/json")
-	h.Set("X-Ltsimd-Key", key)
-	h.Set("X-Ltsimd-Cache", disp)
-	w.Write(body)
-	w.Write([]byte("\n"))
+	writeAnswer(w, key, disp, body)
 }
 
 // runExperiment runs e under ctx's deadline. Experiment Run functions
@@ -721,8 +679,8 @@ type StatsSnapshot struct {
 	UptimeSeconds float64        `json:"uptime_seconds"`
 	Cache         CacheStats     `json:"cache"`
 	Scheduler     SchedulerStats `json:"scheduler"`
-	// ProgressInflight counts progress-streamed estimate runs currently
-	// in flight (single-flight owners executing off the shard queue).
+	// ProgressInflight counts the progress-streamed estimate requests
+	// being served.
 	ProgressInflight int `json:"progress_inflight"`
 	// SweepDeduped is the cumulative count of sweep indices that
 	// replayed another index's bytes via batch-wide fingerprint dedupe.
@@ -740,14 +698,11 @@ type StatsSnapshot struct {
 
 // Stats snapshots the service counters.
 func (s *Service) Stats() StatsSnapshot {
-	s.progressMu.Lock()
-	progressInflight := len(s.progressInflight)
-	s.progressMu.Unlock()
 	snap := StatsSnapshot{
 		UptimeSeconds:    time.Since(s.start).Seconds(),
 		Cache:            s.cache.Stats(),
 		Scheduler:        s.sched.Stats(),
-		ProgressInflight: progressInflight,
+		ProgressInflight: int(s.progressInflight.Load()),
 		SweepDeduped:     s.sweepDeduped.Load(),
 		BiasedRuns:       s.biasedRuns.Load(),
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/scenario"
 	"repro/internal/storage"
 )
 
@@ -438,5 +439,64 @@ func TestShutdownMidSweepDrainsCleanly(t *testing.T) {
 			t.Fatalf("goroutines did not settle: %d before, %d after shutdown", before, runtime.NumGoroutine())
 		}
 		time.Sleep(20 * time.Millisecond)
+	}
+}
+
+// TestBodyLimitFitsLargestSweep sizes maxBodyBytes: an explicit sweep of
+// scenario.MaxPoints copies of the largest request in the test fixtures
+// (the four-entry fleet TestWireFloatRoundTripThroughBuild draws at seed
+// 42, trial 46) must fit under it.
+func TestBodyLimitFitsLargestSweep(t *testing.T) {
+	largest := EstimateRequest{Trials: 50, Fleet: []FleetEntry{
+		{Label: "s46-0", VisibleMeanHours: 1382856.8530198128, LatentMeanHours: 203546.60576056296, ScrubsPerYear: 12.84837766076327, ScrubOffsetHours: 3443.8857718145173, RepairHours: 99.40546402078944, AccessRatePerHour: 0.828745527642243, AccessCoverage: 0.6095387705314543},
+		{Label: "s46-1", VisibleMeanHours: 458676.2541909877, LatentMeanHours: 154340.33986716426, RepairHours: 2.6678379513874804, AccessRatePerHour: 0.25785042687501203, AccessCoverage: 0.15417586710584485},
+		{Label: "s46-2", VisibleMeanHours: -1, LatentMeanHours: 340166.20828809484, ScrubOffsetHours: 3697.3804946741147, RepairHours: 179.77171414829857, AccessRatePerHour: 0.19797165718344906, AccessCoverage: 0.2937915800161126},
+		{Label: "s46-3", VisibleMeanHours: -1, LatentMeanHours: 22407.02644679444, ScrubOffsetHours: 1443.1927543166548, RepairHours: 147.70549749999884, AccessRatePerHour: 0.5106854038911226, AccessCoverage: 0.8873599102755352},
+	}}
+	one, err := json.Marshal(largest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// {"requests":[r,r,...,r]}
+	size := len(`{"requests":[]}`) + scenario.MaxPoints*(len(one)+1) - 1
+	if size > maxBodyBytes {
+		t.Fatalf("a %d-point sweep of a %d-byte request is %d bytes, over the %d-byte body limit", scenario.MaxPoints, len(one), size, maxBodyBytes)
+	}
+}
+
+// endless is an unbounded request body: a JSON prefix, then whitespace
+// forever, so only the body limit can end the read.
+type endless struct{ prefix string }
+
+func (e *endless) Read(p []byte) (int, error) {
+	n := copy(p, e.prefix)
+	e.prefix = e.prefix[n:]
+	for i := n; i < len(p); i++ {
+		p[i] = ' '
+	}
+	return len(p), nil
+}
+
+// TestOversizedBodyRejected: every body-decoding route answers an
+// over-limit body with 413 and the usual JSON error, after reading no
+// more than the limit.
+func TestOversizedBodyRejected(t *testing.T) {
+	svc, _ := newTestService(t)
+	for _, c := range []struct{ path, prefix string }{
+		{"/estimate", `{"trials":10,`},
+		{"/sweep", `{"requests":[`},
+		{"/scenarios/expand", `{"v":1,`},
+	} {
+		rec := httptest.NewRecorder()
+		svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, c.path, &endless{prefix: c.prefix}))
+		var body struct {
+			Error string `json:"error"`
+		}
+		if rec.Code != http.StatusRequestEntityTooLarge || json.Unmarshal(rec.Body.Bytes(), &body) != nil || body.Error == "" {
+			t.Errorf("%s with an endless body: %d %q, want 413 with a JSON error", c.path, rec.Code, rec.Body.String())
+		}
+		if ct := rec.Header().Get("Content-Type"); ct != "application/json" {
+			t.Errorf("%s 413 content type %q, want application/json", c.path, ct)
+		}
 	}
 }

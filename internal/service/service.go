@@ -22,21 +22,21 @@
 //     daemon restarts — bit-identical, which the simulator's determinism
 //     guarantees is also what a recomputation would produce.
 //
-//   - A sharded worker-pool scheduler. Cache misses become jobs hashed
-//     onto shards, each with its own bounded queue and worker; duplicate
-//     in-flight keys coalesce (single-flight) on their shard, jobs run
-//     under per-job contexts with a timeout, and shutdown drains queued
-//     work before cancelling anything.
+//   - A sharded worker-pool scheduler. Every computation goes cache,
+//     then scheduler: misses become jobs hashed onto shards, each with
+//     its own bounded queue and worker; duplicate in-flight keys join
+//     one job (single-flight, internal/flight), whose cancel rule is
+//     that a caller's context ends only that caller's wait, never the
+//     job. Jobs run under per-job contexts with a timeout, and shutdown
+//     drains queued work before cancelling anything.
 //
 // HTTP surface (all JSON):
 //
-//	POST /estimate        one estimate; X-Ltsimd-Cache: hit|miss. With
-//	                      "progress": true, an NDJSON stream of progress
-//	                      frames at batch boundaries followed by a final
-//	                      frame carrying the canonical result bytes
-//	                      (progress mode runs on the request goroutine,
-//	                      bypassing the shard queue; the result still
-//	                      populates the shared cache)
+//	POST /estimate        one estimate; X-Ltsimd-Cache: hit|disk|miss|dedup.
+//	                      With "progress": true, an NDJSON stream of
+//	                      progress frames at batch boundaries (from the
+//	                      request that starts the run) followed by a
+//	                      final frame carrying the canonical result bytes
 //	POST /sweep           many estimates, streamed back as NDJSON lines
 //	                      in completion order, trailing summary line.
 //	                      Takes {"requests": [...]} or a declarative

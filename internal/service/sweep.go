@@ -80,10 +80,7 @@ type Sweep struct {
 // ServeHTTP serves one sweep.
 func (sw *Sweep) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	var req SweepRequest
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("decoding request: %w", err))
+	if !DecodeBody(w, r, &req) {
 		return
 	}
 	if req.Scenario != nil {
@@ -233,20 +230,33 @@ func parallelFor(n int, fn func(i int)) {
 	wg.Wait()
 }
 
-// sweepPoint is the daemon's sweep backend: a point answers from the
-// memory or disk tier, else runs on the shard scheduler. Its lines carry
-// the fingerprint.
+// sweepPoint is the daemon's sweep backend: a point takes the path of a
+// plain estimate (cache, then scheduler). Its lines carry the
+// fingerprint.
 func (s *Service) sweepPoint(req EstimateRequest) (string, SweepAnswer, error) {
-	key, compute, err := s.resolve(req)
+	key, compute, err := s.resolve(req, nil)
 	if err != nil {
 		return "", nil, err
 	}
 	return key, func(ctx context.Context) ([]byte, string, string, string, error) {
-		if body, tier, hit := s.cacheGet(key); hit {
-			return body, key, tier, "", nil
+		// Wait out a full shard queue: key hashing can skew a sweep onto
+		// one shard, and a point should wait its turn rather than fail
+		// its line with a transient 503.
+		backoff := 5 * time.Millisecond
+		for {
+			body, disp, err := s.answer(ctx, key, compute)
+			if !errors.Is(err, ErrQueueFull) {
+				return body, key, disp, "", err
+			}
+			select {
+			case <-time.After(backoff):
+			case <-ctx.Done():
+				return nil, key, "", "", ctx.Err()
+			}
+			if backoff < 200*time.Millisecond {
+				backoff *= 2
+			}
 		}
-		body, err := s.submitWithRetry(ctx, key, compute)
-		return body, key, "", "", err
 	}, nil
 }
 
@@ -255,26 +265,4 @@ func (s *Service) sweepPoint(req EstimateRequest) (string, SweepAnswer, error) {
 func (s *Service) countDeduped(n int) {
 	s.sweepDeduped.Add(uint64(n))
 	s.metrics.sweepDeduped.Add(uint64(n))
-}
-
-// submitWithRetry is Submit with backoff on a full shard queue: the
-// sweep width caps total concurrency, but key hashing can still skew
-// submissions onto one shard, and a sweep item should wait its turn
-// rather than surface a transient 503 as a failed line.
-func (s *Service) submitWithRetry(ctx context.Context, key string, compute func(context.Context) ([]byte, error)) ([]byte, error) {
-	backoff := 5 * time.Millisecond
-	for {
-		body, err := s.sched.Submit(ctx, key, compute)
-		if !errors.Is(err, ErrQueueFull) {
-			return body, err
-		}
-		select {
-		case <-time.After(backoff):
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-		if backoff < 200*time.Millisecond {
-			backoff *= 2
-		}
-	}
 }
